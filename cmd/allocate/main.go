@@ -191,6 +191,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "allocate: W/V=%.4f W=%.0f V=%.0f time=%v nodes=%d exact=%v\n",
 			res.ReplicationFactor, res.W, res.V, res.SolveTime.Round(time.Millisecond), res.BBNodes, res.Exact)
 		fmt.Fprintf(os.Stderr, "allocate: subproblems: %v (max gap %.4f)\n", res.Outcomes, res.MaxGap)
+		fmt.Fprintf(os.Stderr, "allocate: LP: %d pivots, %d iteration-limit hits, %d cold fallbacks\n",
+			res.LPIters, res.IterLimitHits, res.ColdFallbacks)
 		if res.Canceled {
 			fmt.Fprintf(os.Stderr, "allocate: run interrupted (%v); emitting the best partial allocation\n", ctx.Err())
 		}

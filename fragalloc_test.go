@@ -87,6 +87,32 @@ func TestRobustScenarios(t *testing.T) {
 	}
 }
 
+// TestPaperRowK8 pins the paper's baseline row: TPC-DS at K=8, chunks
+// 4+4, 150 branch-and-bound nodes per subproblem. Node budgets make the
+// search deterministic, so its W/V and node count are exact, and a healthy
+// LP layer reaches them without stalling: no solve at the iteration limit,
+// no warm re-solve abandoned for a cold one, and under 60,000 pivots in
+// all.
+func TestPaperRowK8(t *testing.T) {
+	res, err := fragalloc.Allocate(fragalloc.TPCDSWorkload(), nil, 8, fragalloc.Options{
+		Chunks: fragalloc.MustParseChunks("4+4"),
+		MIP:    mip.Options{MaxNodes: 150},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node budgets make the search deterministic, so W/V is bit-exact.
+	if res.ReplicationFactor != 2.29177536444071 || res.BBNodes != 450 {
+		t.Errorf("W/V = %.17g over %d nodes, want 2.29177536444071 over 450", res.ReplicationFactor, res.BBNodes)
+	}
+	if res.IterLimitHits != 0 || res.ColdFallbacks != 0 {
+		t.Errorf("%d iteration-limit hits and %d cold fallbacks, want none", res.IterLimitHits, res.ColdFallbacks)
+	}
+	if res.LPIters >= 60000 {
+		t.Errorf("LPIters = %d, want < 60000", res.LPIters)
+	}
+}
+
 func TestFullReplicationPerfect(t *testing.T) {
 	w := smallWorkload()
 	full := fragalloc.FullReplication(w, 4)

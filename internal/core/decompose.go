@@ -111,8 +111,14 @@ type Result struct {
 	// LP relaxations and re-solves — with BBNodes, the pair benchmarks
 	// how hard the searches worked independent of wall clock.
 	LPIters int
-	MaxGap  float64
-	Exact   bool
+	// IterLimitHits counts the subproblem LP solves that stopped at the
+	// simplex iteration limit; ColdFallbacks the warm LP re-solves that
+	// abandoned their basis for a cold solve (mip.Result). Both are zero on
+	// a healthy run.
+	IterLimitHits int
+	ColdFallbacks int
+	MaxGap        float64
+	Exact         bool
 	// FixedQueries lists the queries pinned to node 0 by partial
 	// clustering, in ascending order of expected load.
 	FixedQueries []int
@@ -234,6 +240,8 @@ func Allocate(w *model.Workload, ss *model.ScenarioSet, k int, opt Options) (*Re
 		SolveTime:     time.Since(start),
 		BBNodes:       d.nodes,
 		LPIters:       d.lpiters,
+		IterLimitHits: d.iterLimits,
+		ColdFallbacks: d.colds,
 		MaxGap:        d.maxGap,
 		Exact:         d.exact,
 		FixedQueries:  fixed,
@@ -323,6 +331,8 @@ type driver struct {
 	maxGap        float64
 	nodes         int
 	lpiters       int
+	iterLimits    int
+	colds         int
 	exact         bool
 	outcomes      OutcomeCounts
 	degradedBytes float64
@@ -344,6 +354,8 @@ func (d *driver) recordSolution(sol *solution) {
 	defer d.mu.Unlock()
 	d.nodes += sol.nodes
 	d.lpiters += sol.lpiters
+	d.iterLimits += sol.iterLimits
+	d.colds += sol.colds
 	d.maxGap = math.Max(d.maxGap, sol.gap)
 	d.maxLoad = math.Max(d.maxLoad, sol.l)
 	d.exact = d.exact && sol.exact

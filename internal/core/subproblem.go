@@ -479,8 +479,11 @@ type solution struct {
 	gap     float64
 	nodes   int
 	lpiters int
-	exact   bool
-	status  mip.Status
+	// iterLimits and colds mirror mip.Result's IterLimitHits and
+	// ColdFallbacks.
+	iterLimits, colds int
+	exact             bool
+	status            mip.Status
 	// outcome classifies the solve for the failure policy; extraBytes is
 	// nonzero only for degraded solutions (allocated bytes beyond the
 	// single-copy floor, feeding Result.DegradedDelta).
@@ -610,14 +613,16 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...map[int
 func (sp *subproblem) decode(ix *indices, res *mip.Result) *solution {
 	b := ix.b
 	sol := &solution{
-		yes:     make(map[int][]bool, len(sp.flexQ)),
-		z:       make(map[[2]int][]float64, len(ix.z)),
-		l:       res.X[ix.l],
-		gap:     math.Max(0, res.Obj-res.Bound),
-		nodes:   res.Nodes,
-		lpiters: res.LPIters,
-		exact:   res.Exact && res.Status == mip.StatusOptimal,
-		status:  res.Status,
+		yes:        make(map[int][]bool, len(sp.flexQ)),
+		z:          make(map[[2]int][]float64, len(ix.z)),
+		l:          res.X[ix.l],
+		gap:        math.Max(0, res.Obj-res.Bound),
+		nodes:      res.Nodes,
+		lpiters:    res.LPIters,
+		iterLimits: res.IterLimitHits,
+		colds:      res.ColdFallbacks,
+		exact:      res.Exact && res.Status == mip.StatusOptimal,
+		status:     res.Status,
 	}
 	if res.Status == mip.StatusOptimal {
 		sol.outcome = OutcomeOptimal

@@ -112,6 +112,15 @@ type Result struct {
 	// because the basis factorization and eta file carry over across
 	// SetBound calls.
 	LPIters int
+	// IterLimitHits counts the LP solves that stopped at the simplex
+	// iteration limit. A healthy search has none: each is a stalled LP
+	// whose pivots bought no answer.
+	IterLimitHits int
+	// ColdFallbacks counts warm re-solves (of nodes and of rounding
+	// proposals) that abandoned their basis for a cold two-phase solve from
+	// a fresh basis, inside ReSolveDual or as the search's retry after a
+	// failed node re-solve.
+	ColdFallbacks int
 	// Exact is false if any node LP failed numerically and was skipped, in
 	// which case Bound is best-effort rather than proven.
 	Exact bool
@@ -440,6 +449,8 @@ type search struct {
 	lastCkpt    time.Time // last Checkpoint callback (driving goroutine only)
 	nodes       int
 	lpIters     int // simplex pivots across all inner LP solves
+	iterLimits  int // inner LP solves stopped at the iteration limit
+	colds       int // warm re-solves that fell back to a cold solve
 	lastImprove int // node count at the last incumbent improvement
 	exact       bool
 	// skippedBound is the smallest inherited LP bound over the subtrees
@@ -670,7 +681,7 @@ func (s *search) tryProposal(proposal []float64) {
 		s.heur.SetBound(j, v, v)
 	}
 	res := s.heur.ReSolveDual()
-	s.lpIters += res.Iters
+	s.tally(res)
 	if res.Status != simplex.StatusOptimal {
 		return
 	}
@@ -714,7 +725,8 @@ func (s *search) gapClosed(bound float64) bool {
 
 func (s *search) result(status Status, bound float64) *Result {
 	off := s.off()
-	r := &Result{Status: status, Nodes: s.nodes, LPIters: s.lpIters, Bound: bound + off, Exact: s.exact}
+	r := &Result{Status: status, Nodes: s.nodes, LPIters: s.lpIters, IterLimitHits: s.iterLimits,
+		ColdFallbacks: s.colds, Bound: bound + off, Exact: s.exact}
 	if s.hasInc {
 		r.X = s.restoreX(s.incumbent)
 		r.Obj = s.incObj + off
@@ -736,7 +748,7 @@ func (s *search) run() (*Result, error) {
 	// Root relaxation.
 	res := s.lp.Solve()
 	s.nodes++
-	s.lpIters += res.Iters
+	s.tally(res)
 	switch res.Status {
 	case simplex.StatusInfeasible:
 		return s.result(StatusInfeasible, math.Inf(1)), nil
@@ -817,12 +829,15 @@ func (s *search) plunge(nd *node, open *nodeHeap) {
 	for {
 		res := s.lp.ReSolveDual()
 		s.nodes++
-		s.lpIters += res.Iters
-		if res.Status != simplex.StatusOptimal && res.Status != simplex.StatusInfeasible && res.Status != simplex.StatusCanceled {
+		s.tally(res)
+		if res.Status != simplex.StatusOptimal && res.Status != simplex.StatusInfeasible && res.Status != simplex.StatusCanceled &&
+			!res.Recovery.Cold() {
 			// Numerical trouble or iteration limit: retry from a fresh
-			// basis before giving up on the subtree.
+			// basis before giving up on the subtree — unless the re-solve
+			// already ended in that deterministic cold solve.
 			res = s.lp.Solve()
-			s.lpIters += res.Iters
+			s.colds++
+			s.tally(res)
 		}
 		if res.Status == simplex.StatusCanceled {
 			// The node is unexplored, not failed: push it back so its bound
@@ -859,7 +874,7 @@ func (s *search) plunge(nd *node, open *nodeHeap) {
 		s.logf("mip: node %d depth %d obj=%.6f iters=%d", s.nodes, len(nd.path), res.Obj+s.off(), res.Iters)
 		if debugVerifyNodes {
 			cold := s.lp.Solve()
-			s.lpIters += cold.Iters
+			s.tally(cold)
 			if cold.Status == simplex.StatusCanceled {
 				heap.Push(open, &node{path: clonePath(nd.path), bound: nd.bound, bvar: -1})
 				return
@@ -906,6 +921,17 @@ func (s *search) plunge(nd *node, open *nodeHeap) {
 		// Apply only the new fixing; the rest of the path is already set.
 		f := nd.path[len(nd.path)-1]
 		s.lp.SetBound(f.j, f.lb, f.ub)
+	}
+}
+
+// tally adds one LP result to the search's work counters.
+func (s *search) tally(res *simplex.Result) {
+	s.lpIters += res.Iters
+	if res.Status == simplex.StatusIterLimit {
+		s.iterLimits++
+	}
+	if res.Recovery.Cold() {
+		s.colds++
 	}
 }
 

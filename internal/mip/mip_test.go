@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"fragalloc/internal/faultinject"
 	"fragalloc/internal/simplex"
 )
 
@@ -376,5 +377,38 @@ func TestTimeLimit(t *testing.T) {
 	}
 	if res.Status == StatusFeasible && res.Bound > res.Obj+1e-9 {
 		t.Errorf("bound %g exceeds incumbent %g", res.Bound, res.Obj)
+	}
+}
+
+// TestFailedNodeSolvesColdOnce forces a node re-solve to fail numerically
+// all the way down: an injected stall aborts the warm dual pass, and three
+// more abort every rung of the cold Solve it falls back to. The search must
+// not repeat that deterministic cold solve: the failed node costs exactly
+// one cold solve, and its subtree is skipped.
+func TestFailedNodeSolvesColdOnce(t *testing.T) {
+	p, idx := cancelKnapsack(5)
+	// Probe how many stall polls the root relaxation takes, so the
+	// injected stalls land on the first node re-solve.
+	probe := faultinject.New(faultinject.Plan{})
+	if _, err := Solve(p, idx, Options{MaxNodes: 1, LP: simplex.Options{Fault: probe}}); err != nil {
+		t.Fatal(err)
+	}
+	_, k, _ := probe.Counts()
+	in := faultinject.New(faultinject.Plan{Stalls: []int{k, k + 1, k + 2, k + 3}})
+	res, err := Solve(p, idx, Options{LP: simplex.Options{Fault: in}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ColdFallbacks != 1 {
+		t.Errorf("ColdFallbacks = %d, want 1 for the one failed node", res.ColdFallbacks)
+	}
+	if res.Exact {
+		t.Error("Exact = true, want false: the failed node's subtree was skipped")
+	}
+	if res.IterLimitHits != 0 {
+		t.Errorf("IterLimitHits = %d, want 0", res.IterLimitHits)
+	}
+	if _, stalls, _ := in.Counts(); stalls < k+4 {
+		t.Errorf("only %d stall polls; the injected stalls never fired", stalls)
 	}
 }

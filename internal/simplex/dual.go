@@ -48,6 +48,15 @@ func (s *Solver) Bounds(j int) (lb, ub float64) { return s.lb[j], s.ub[j] }
 // status flip, which repairDualFeasibility performs for variables with two
 // finite bounds.
 //
+// A wrong-signed reduced cost that no flip can repair (the opposite bound
+// is infinite) is removed by cost shifting instead: the column's active
+// cost is moved so that its reduced cost becomes zero, the dual pass runs
+// to primal feasibility on the shifted costs, and the true costs are
+// restored before the verifying primal pass, which removes the leftover
+// dual infeasibility. The current basis and its factorization are kept
+// throughout; only numerical failure abandons them for a cold Solve, which
+// the result records as the RungCold rung of its Recovery.
+//
 // If the solver has never completed a primal solve, it falls back to Solve.
 func (s *Solver) ReSolveDual() *Result {
 	if s.pcost == nil {
@@ -63,23 +72,19 @@ func (s *Solver) ReSolveDual() *Result {
 	// The basis factorization stays valid across bound changes (the basis
 	// itself is untouched), so refactorize only on accumulated update
 	// drift. xB is not recomputed here: repairDualFeasibility does it after
-	// settling the nonbasic statuses, and a failed repair discards the
-	// state in a cold restart anyway.
+	// settling the nonbasic statuses.
 	if s.updates >= s.opt.RefactorEvery/2 {
 		if err := s.refactor(); err != nil {
-			return s.Solve() // basis unusable; cold restart
+			return s.coldRestart() // basis unusable
 		}
 	}
-	if !s.repairDualFeasibility() {
-		// A nonbasic variable with an infinite opposite bound has a
-		// wrong-signed reduced cost; the dual start is invalid. Restart.
-		return s.Solve()
-	}
+	shifted := s.repairDualFeasibility()
 	res := s.runDual()
 	if res == StatusInfeasible && s.updates > 0 {
 		// An infeasibility claim rests on the alphas of a single basis row;
 		// after many product-form updates those can drift. Re-check on a
-		// fresh factorization before trusting it.
+		// fresh factorization before trusting it. (Primal infeasibility
+		// does not depend on the costs, so a shift cannot fake it.)
 		if err := s.refactor(); err == nil {
 			s.computeXB()
 			res = s.runDual()
@@ -87,12 +92,15 @@ func (s *Solver) ReSolveDual() *Result {
 	}
 	switch res {
 	case StatusOptimal:
-		// Dual feasibility is maintained implicitly during the dual pass;
-		// numerical drift across hundreds of degenerate pivots can break it
-		// silently, leaving a primal-feasible but suboptimal basis. The
-		// primal simplex from here is exact verification: it terminates
-		// immediately when the point is truly optimal and repairs it
-		// otherwise.
+		if shifted > 0 {
+			s.pcost = append(s.pcost[:0], s.cost...)
+		}
+		// The primal simplex from here is exact verification: the basis is
+		// primal feasible, so it terminates immediately when the point is
+		// truly optimal for the true costs and repairs it otherwise — both
+		// the dual infeasibility a cost shift left behind and any that
+		// numerical drift across hundreds of degenerate dual pivots broke
+		// silently.
 		switch s.runPrimal(false) {
 		case StatusOptimal:
 			return &Result{Status: StatusOptimal, X: s.extract(), Obj: s.trueObjective(), Iters: s.iters}
@@ -103,7 +111,7 @@ func (s *Solver) ReSolveDual() *Result {
 		case StatusCanceled:
 			return &Result{Status: StatusCanceled, Iters: s.iters}
 		default:
-			return s.Solve()
+			return s.coldRestart()
 		}
 	case StatusInfeasible:
 		return &Result{Status: StatusInfeasible, Iters: s.iters}
@@ -115,14 +123,36 @@ func (s *Solver) ReSolveDual() *Result {
 	// Numerical failure (singular refactorization or a stalled dual pass):
 	// a cold two-phase primal solve from a fresh basis is always well
 	// defined, so fall back to it rather than reporting unknown.
-	return s.Solve()
+	return s.coldRestart()
 }
 
-// repairDualFeasibility flips nonbasic statuses whose reduced-cost sign
-// requirement is violated. It reports false if a violation cannot be
-// repaired by a flip (infinite opposite bound).
-func (s *Solver) repairDualFeasibility() bool {
+// coldRestart abandons the warm basis for a cold two-phase Solve. The
+// result counts the warm pivots already spent and records the fallback as
+// the RungCold rung ahead of any rungs Solve itself climbed.
+func (s *Solver) coldRestart() *Result {
+	warm := s.iters
+	res := s.Solve()
+	res.Iters += warm
+	rec := &Recovery{Restarts: 1, Rungs: []string{RungCold}}
+	if res.Recovery != nil {
+		rec.Restarts += res.Recovery.Restarts
+		rec.Rungs = append(rec.Rungs, res.Recovery.Rungs...)
+	}
+	res.Recovery = rec
+	return res
+}
+
+// repairDualFeasibility makes the current basis dual feasible for the
+// active costs pcost and recomputes xB. A nonbasic column whose reduced
+// cost has the wrong sign is flipped to its opposite bound when that bound
+// is finite; otherwise (an infinite opposite bound, or a free column with a
+// nonzero reduced cost) its active cost is shifted by −d_j, which zeroes
+// the reduced cost and leaves every other reduced cost unchanged. It
+// returns the number of shifted costs; the caller restores the true costs
+// once the dual pass has reached primal feasibility.
+func (s *Solver) repairDualFeasibility() int {
 	y := s.btran()
+	shifted := 0
 	for j := 0; j < s.ncols; j++ {
 		st := s.vstat[j]
 		//fragvet:ignore floatcmp — fixed-variable check: SetBound(j, v, v) stores bit-identical bounds, so exact equality is the invariant
@@ -130,30 +160,37 @@ func (s *Solver) repairDualFeasibility() bool {
 			continue
 		}
 		d := s.reducedCost(j, y)
+		wrong := false
 		switch st {
 		case nbLower:
-			if d < -s.opt.OptTol {
-				if math.IsInf(s.ub[j], 1) {
-					return false
-				}
-				s.vstat[j] = nbUpper
+			if wrong = d < -s.opt.OptTol; wrong && !math.IsInf(s.ub[j], 1) {
+				s.vstat[j], wrong = nbUpper, false
 			}
 		case nbUpper:
-			if d > s.opt.OptTol {
-				if math.IsInf(s.lb[j], -1) {
-					return false
-				}
-				s.vstat[j] = nbLower
+			if wrong = d > s.opt.OptTol; wrong && !math.IsInf(s.lb[j], -1) {
+				s.vstat[j], wrong = nbLower, false
 			}
 		case nbFree:
-			if math.Abs(d) > s.opt.OptTol {
-				return false
-			}
+			wrong = math.Abs(d) > s.opt.OptTol
+		}
+		if wrong {
+			s.pcost[j] -= d
+			shifted++
 		}
 	}
 	s.computeXB()
-	return true
+	return shifted
 }
+
+// Harris ratio test parameters for the dual simplex (see dualEnter).
+const (
+	// harrisTrigger: a min-ratio pivot element smaller than this in
+	// magnitude is re-selected by the Harris pass.
+	harrisTrigger = 1e-7
+	// harrisTol is the dual feasibility slack the Harris pass may spend to
+	// reach a larger pivot element.
+	harrisTol = 1e-9
+)
 
 // runDual is the bounded-variable dual simplex loop. It assumes a
 // dual-feasible basis and pivots until primal feasibility (optimal), proven
@@ -213,59 +250,14 @@ func (s *Solver) runDual() Status {
 			return StatusOptimal
 		}
 
-		// Entering variable: bounded-variable dual ratio test. With
-		// alpha_j = (B⁻¹)_leave · A_j, a pivot drives the leaving variable
-		// to its violated bound while the dual multiplier moves by
-		// theta = d_e/alpha_e; dual feasibility of every other nonbasic
-		// column is preserved by choosing the minimal |d_j/alpha_j| among
-		// sign-eligible candidates.
+		// Entering variable: the dual ratio test on the leaving row.
 		rho := s.binvRow(leave)
 		y := s.btran()
 		sigma := -1.0 // below lower bound
 		if above {
 			sigma = 1.0
 		}
-		enter := -1
-		bestRatio := math.Inf(1)
-		var bestAlpha float64
-		for j := 0; j < s.ncols; j++ {
-			st := s.vstat[j]
-			//fragvet:ignore floatcmp — fixed-variable check: SetBound(j, v, v) stores bit-identical bounds, so exact equality is the invariant
-			if st == isBasic || s.lb[j] == s.ub[j] {
-				continue
-			}
-			var alpha float64
-			for _, e := range s.cols[j] {
-				alpha += rho[e.row] * e.val
-			}
-			if math.Abs(alpha) <= s.opt.PivotTol {
-				continue
-			}
-			eligible := false
-			switch st {
-			case nbLower:
-				eligible = sigma*alpha > 0
-			case nbUpper:
-				eligible = sigma*alpha < 0
-			case nbFree:
-				eligible = true
-			}
-			if !eligible {
-				continue
-			}
-			ratio := math.Abs(s.reducedCost(j, y)) / math.Abs(alpha)
-			better := ratio < bestRatio-1e-12
-			if !better && ratio < bestRatio+1e-12 && enter >= 0 {
-				if s.bland {
-					better = j < enter
-				} else {
-					better = math.Abs(alpha) > math.Abs(bestAlpha)
-				}
-			}
-			if better {
-				enter, bestRatio, bestAlpha = j, ratio, alpha
-			}
-		}
+		enter, bestRatio := s.dualEnter(rho, y, sigma)
 		if enter == -1 {
 			// No column can relieve the violated row: primal infeasible.
 			return StatusInfeasible
@@ -317,4 +309,88 @@ func (s *Solver) runDual() Status {
 		s.xB[leave] = enterVal
 		s.iters++
 	}
+}
+
+// dualEnter is the bounded-variable dual ratio test for the leaving row
+// whose B⁻¹ row is rho and whose violation direction is sigma (−1 below the
+// lower bound, +1 above the upper). With alpha_j = rho·A_j, a pivot moves
+// the dual multiplier by theta = d_e/alpha_e; dual feasibility of every
+// other nonbasic column is preserved by choosing the minimal |d_j/alpha_j|
+// among sign-eligible candidates, ties going to the larger |alpha_j| (or
+// the smaller index under Bland's rule). It returns the entering column
+// (−1 if none is eligible) and its ratio.
+//
+// A minimal ratio can sit on a pivot element that is little more than
+// roundoff. Pivoting on it degrades the basis until the pass breaks down
+// numerically, so when the chosen |alpha| is below harrisTrigger the
+// choice is redone by Harris's two-pass test: the first pass bounds the
+// step by the ratios relaxed by harrisTol, the second takes the largest
+// |alpha| within that bound. Bland's rule keeps its exact choice.
+func (s *Solver) dualEnter(rho, y []float64, sigma float64) (int, float64) {
+	enter := -1
+	bestRatio := math.Inf(1)
+	var bestAlpha float64
+	for j := 0; j < s.ncols; j++ {
+		alpha, ok := s.dualAlpha(j, rho, sigma)
+		if !ok {
+			continue
+		}
+		ratio := math.Abs(s.reducedCost(j, y)) / math.Abs(alpha)
+		better := ratio < bestRatio-1e-12
+		if !better && ratio < bestRatio+1e-12 && enter >= 0 {
+			if s.bland {
+				better = j < enter
+			} else {
+				better = math.Abs(alpha) > math.Abs(bestAlpha)
+			}
+		}
+		if better {
+			enter, bestRatio, bestAlpha = j, ratio, alpha
+		}
+	}
+	if enter == -1 || s.bland || math.Abs(bestAlpha) >= harrisTrigger {
+		return enter, bestRatio
+	}
+	bound := math.Inf(1)
+	for j := 0; j < s.ncols; j++ {
+		if alpha, ok := s.dualAlpha(j, rho, sigma); ok {
+			bound = math.Min(bound, (math.Abs(s.reducedCost(j, y))+harrisTol)/math.Abs(alpha))
+		}
+	}
+	for j := 0; j < s.ncols; j++ {
+		alpha, ok := s.dualAlpha(j, rho, sigma)
+		if !ok || math.Abs(alpha) <= math.Abs(bestAlpha) {
+			continue
+		}
+		if ratio := math.Abs(s.reducedCost(j, y)) / math.Abs(alpha); ratio <= bound {
+			enter, bestRatio, bestAlpha = j, ratio, alpha
+		}
+	}
+	return enter, bestRatio
+}
+
+// dualAlpha returns alpha_j = rho·A_j for nonbasic column j and whether j
+// may enter a dual pivot on a row violated in direction sigma: |alpha_j|
+// must exceed PivotTol, and moving j off its bound must move the leaving
+// variable toward its violated bound.
+func (s *Solver) dualAlpha(j int, rho []float64, sigma float64) (float64, bool) {
+	st := s.vstat[j]
+	//fragvet:ignore floatcmp — fixed-variable check: SetBound(j, v, v) stores bit-identical bounds, so exact equality is the invariant
+	if st == isBasic || s.lb[j] == s.ub[j] {
+		return 0, false
+	}
+	var alpha float64
+	for _, e := range s.cols[j] {
+		alpha += rho[e.row] * e.val
+	}
+	if math.Abs(alpha) <= s.opt.PivotTol {
+		return 0, false
+	}
+	switch st {
+	case nbLower:
+		return alpha, sigma*alpha > 0
+	case nbUpper:
+		return alpha, sigma*alpha < 0
+	}
+	return alpha, true // nbFree
 }

@@ -46,22 +46,57 @@ func TestSetBoundStatusTransitions(t *testing.T) {
 	}
 }
 
-// unboundedFlipLP is min −x with x ∈ [0,1] and a roomy row x ≤ 5. The
-// optimum parks x nonbasic at its upper bound with reduced cost −1, which
-// is exactly the setup where relaxing the bound structure makes the dual
-// warm start invalid.
+// unboundedFlipLP is min −x with x ∈ [0,1] and a roomy row x ≤ 5, plus two
+// cost-free columns y1, y2 ≥ 0 held up by rows y_i ≥ 1. The optimum parks x
+// nonbasic at its upper bound with reduced cost −1, which is exactly the
+// setup where relaxing the bound structure makes the dual warm start
+// invalid. The y rows cost a cold solve a phase 1 that the warm basis has
+// already paid for, so a warm re-solve that keeps its basis needs fewer
+// pivots than a cold one.
 func unboundedFlipLP() (*Problem, int) {
 	p := &Problem{}
 	x := p.AddVar(0, 1, -1)
 	p.AddRow([]int{x}, []float64{1}, LE, 5)
+	for i := 0; i < 2; i++ {
+		y := p.AddVar(0, math.Inf(1), 0)
+		p.AddRow([]int{y}, []float64{1}, GE, 1)
+	}
 	return p, x
+}
+
+// checkWarmReSolve runs ReSolveDual after a bound change that no flip can
+// repair and checks the warm cost-shifting path: one shifted cost, the
+// optimum −5 at x = 5, no Recovery record (no cold restart), and fewer
+// pivots than a cold solve of the same bounds.
+func checkWarmReSolve(t *testing.T, s *Solver, x int, lb, ub float64) {
+	t.Helper()
+	s.SetBound(x, lb, ub)
+	s.pcost = append(s.pcost[:0], s.cost...)
+	if n := s.repairDualFeasibility(); n != 1 {
+		t.Errorf("repairDualFeasibility shifted %d costs, want 1", n)
+	}
+	res := s.ReSolveDual()
+	if res.Status != StatusOptimal || !approx(res.Obj, -5, 1e-6) || !approx(res.X[x], 5, 1e-6) {
+		t.Fatalf("ReSolveDual: status=%v obj=%v x=%v, want optimal -5 at x=5", res.Status, res.Obj, res.X)
+	}
+	if res.Recovery != nil {
+		t.Errorf("Recovery = %+v, want nil: the re-solve must stay warm", res.Recovery)
+	}
+	p, _ := unboundedFlipLP()
+	p.LB[x], p.UB[x] = lb, ub
+	cold, err := Solve(p, s.opt)
+	if err != nil || cold.Status != StatusOptimal || !approx(cold.Obj, -5, 1e-6) {
+		t.Fatalf("cold solve: %v %+v", err, cold)
+	}
+	if res.Iters >= cold.Iters {
+		t.Errorf("warm re-solve took %d pivots, cold solve %d: want fewer", res.Iters, cold.Iters)
+	}
 }
 
 // TestRepairDualFeasibilityUnrepairableFlip drives repairDualFeasibility
 // into the path where a violated reduced-cost sign cannot be fixed by a
-// bound flip because the opposite bound is infinite: the repair must report
-// false, and ReSolveDual must fall back to a cold solve rather than start
-// the dual pass from an invalid point.
+// bound flip because the opposite bound is infinite: the column's cost is
+// shifted instead, and ReSolveDual reaches the optimum from the warm basis.
 func TestRepairDualFeasibilityUnrepairableFlip(t *testing.T) {
 	p, x := unboundedFlipLP()
 	s, err := NewSolver(p, Options{})
@@ -77,18 +112,7 @@ func TestRepairDualFeasibilityUnrepairableFlip(t *testing.T) {
 	// Removing the upper bound moves x to nbLower (SetBound keeps it on the
 	// surviving bound), where its reduced cost −1 violates dual feasibility
 	// and the opposite bound is now infinite: unrepairable by a flip.
-	s.SetBound(x, 0, math.Inf(1))
-	s.pcost = append(s.pcost[:0], s.cost...)
-	if s.repairDualFeasibility() {
-		t.Error("repairDualFeasibility repaired an unrepairable flip")
-	}
-	res := s.ReSolveDual()
-	if res.Status != StatusOptimal {
-		t.Fatalf("ReSolveDual status = %v, want optimal via cold restart", res.Status)
-	}
-	if !approx(res.Obj, -5, 1e-6) || !approx(res.X[x], 5, 1e-6) {
-		t.Errorf("obj=%v x=%v, want -5 and 5", res.Obj, res.X[x])
-	}
+	checkWarmReSolve(t, s, x, 0, math.Inf(1))
 }
 
 // TestRepairDualFeasibilityFreeVariable covers the nbFree arm: a free
@@ -109,13 +133,57 @@ func TestRepairDualFeasibilityFreeVariable(t *testing.T) {
 	if s.vstat[x] != nbFree {
 		t.Fatalf("x status = %d after dropping both bounds, want free", s.vstat[x])
 	}
-	s.pcost = append(s.pcost[:0], s.cost...)
-	if s.repairDualFeasibility() {
-		t.Error("free variable with nonzero reduced cost reported repairable")
+	checkWarmReSolve(t, s, x, math.Inf(-1), math.Inf(1))
+}
+
+// TestInfeasibleColdThenRelaxedReSolve is the regression net for artificial
+// handling after an infeasible phase 1: min x+y over x+y ≥ 3 with
+// x, y ∈ [0,1] is infeasible and leaves an artificial basic at a positive
+// value. After relaxing x's upper bound, the warm re-solve must satisfy
+// every row within FeasTol with no artificial positive — an artificial
+// left with bounds [0,∞) would silently relax the row instead — and a
+// later cold solve must drop the stale artificial columns, not pile them up.
+func TestInfeasibleColdThenRelaxedReSolve(t *testing.T) {
+	p := &Problem{}
+	x := p.AddVar(0, 1, 1)
+	y := p.AddVar(0, 1, 1)
+	p.AddRow([]int{x, y}, []float64{1, 1}, GE, 3)
+	p.AddRow([]int{x, y}, []float64{1, -1}, LE, 4)
+	s, err := NewSolver(p, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if res := s.Solve(); res.Status != StatusInfeasible {
+		t.Fatalf("initial solve: %v, want infeasible", res.Status)
+	}
+	ncols := s.ncols
+	if ncols == s.n+s.m {
+		t.Fatal("setup assumption broken: the infeasible phase 1 added no artificial")
+	}
+	s.SetBound(x, 0, 10)
 	res := s.ReSolveDual()
-	if res.Status != StatusOptimal || !approx(res.Obj, -5, 1e-6) {
-		t.Errorf("ReSolveDual: status=%v obj=%v, want optimal -5", res.Status, res.Obj)
+	if res.Status != StatusOptimal || !approx(res.Obj, 3, 1e-6) {
+		t.Fatalf("ReSolveDual: status=%v obj=%v, want optimal 3", res.Status, res.Obj)
+	}
+	for r, row := range p.Rows {
+		var act float64
+		for k, j := range row.Idx {
+			act += row.Coef[k] * res.X[j]
+		}
+		if (p.Rel[r] == GE && act < p.RHS[r]-s.opt.FeasTol) || (p.Rel[r] == LE && act > p.RHS[r]+s.opt.FeasTol) {
+			t.Errorf("row %d: activity %v violates %v %v", r, act, p.Rel[r], p.RHS[r])
+		}
+	}
+	for j := s.n + s.m; j < s.ncols; j++ {
+		if v := s.value(j); v > s.opt.FeasTol {
+			t.Errorf("artificial column %d is %v, want 0", j, v)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		s.Solve()
+		if s.ncols > ncols {
+			t.Fatalf("cold solve %d: %d columns, want at most %d (stale artificials kept)", i, s.ncols, ncols)
+		}
 	}
 }
 
@@ -154,8 +222,8 @@ func TestDualPivotGuardReturnsUnknown(t *testing.T) {
 	}
 	s.SetBound(0, 0, 0.5) // x was basic at 1.6: a dual pivot is required
 	s.pcost = append(s.pcost[:0], s.cost...)
-	if !s.repairDualFeasibility() {
-		t.Fatal("repairDualFeasibility failed on a repairable instance")
+	if n := s.repairDualFeasibility(); n != 0 {
+		t.Fatalf("repairDualFeasibility shifted %d costs on an instance that needs none", n)
 	}
 	shim := &shrinkFtranKernel{basisKernel: s.kern, corruptAt: 1}
 	s.kern = shim
@@ -169,7 +237,7 @@ func TestDualPivotGuardReturnsUnknown(t *testing.T) {
 
 // TestDualPivotGuardRecovery is the end-to-end version: ReSolveDual hits
 // the tiny-pivot guard mid-pass and must still deliver the true optimum
-// through its cold-restart fallback. Call 1 is repairDualFeasibility's
+// through its cold-restart fallback, recorded as the cold rung. Call 1 is repairDualFeasibility's
 // computeXB; call 2 is the dual pivot's entering column.
 func TestDualPivotGuardRecovery(t *testing.T) {
 	s, err := NewSolver(recoveryLP(), Options{})
@@ -189,6 +257,9 @@ func TestDualPivotGuardRecovery(t *testing.T) {
 	// max x+y, x+2y≤4, 3x+y≤6, x≤0.5 → (0.5, 1.75), minimized obj −2.25.
 	if !approx(res.Obj, -2.25, 1e-6) {
 		t.Errorf("obj = %v, want -2.25", res.Obj)
+	}
+	if !res.Recovery.Cold() {
+		t.Errorf("Recovery = %+v, want the cold rung recorded", res.Recovery)
 	}
 	if shim.calls < shim.corruptAt {
 		t.Fatalf("only %d ftran calls; the corruption never fired", shim.calls)
@@ -257,5 +328,30 @@ func TestDualReSolveAdversarialScaling(t *testing.T) {
 				t.Errorf("%v step %d: warm obj %v, cold %v", pricing, i, warm.Obj, want.Obj)
 			}
 		}
+	}
+}
+
+// TestDualEnterHarrisAvoidsTinyPivot checks the dual ratio test white-box:
+// the minimal ratio (0) sits on a pivot element of 5e-8, a near-tie (ratio
+// 1e-10, inside the Harris slack) on an element of 1. The Harris pass must
+// take the large element; Bland's rule must keep the exact minimal ratio.
+func TestDualEnterHarrisAvoidsTinyPivot(t *testing.T) {
+	p := &Problem{}
+	tiny := p.AddVar(0, 1, 0)
+	big := p.AddVar(0, 1, 1e-10)
+	p.AddRow([]int{tiny, big}, []float64{5e-8, 1}, LE, 1)
+	s, err := NewSolver(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.initBasis() // slack basic: rho = e_0 and y = 0, so d_j is the cost
+	s.pcost = append([]float64(nil), s.cost...)
+	rho, y := []float64{1}, []float64{0}
+	if enter, _ := s.dualEnter(rho, y, 1); enter != big {
+		t.Errorf("entering column %d, want %d (the large pivot element)", enter, big)
+	}
+	s.bland = true
+	if enter, _ := s.dualEnter(rho, y, 1); enter != tiny {
+		t.Errorf("Bland: entering column %d, want %d (the exact minimal ratio)", enter, tiny)
 	}
 }

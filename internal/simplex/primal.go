@@ -10,8 +10,8 @@ import "math"
 //
 //  1. price all nonbasic columns with the simplex multipliers y = c_Bᵀ B⁻¹
 //     and select an entering column (Devex or Dantzig per Options.Pricing;
-//     Bland's rule after prolonged degenerate stalling, which guarantees
-//     termination),
+//     Bland's rule during a prolonged degenerate stall, which guarantees
+//     termination, until the next non-degenerate pivot),
 //  2. run the bounded-variable ratio test, which may result in a simple
 //     bound flip of the entering variable instead of a basis change,
 //  3. pivot and update the product-form basis inverse.
@@ -152,7 +152,13 @@ func (s *Solver) runPrimal(phase1 bool) Status {
 			return StatusUnbounded
 		}
 
-		// Track degeneracy and enable Bland's anti-cycling rule if stuck.
+		// Track degeneracy: Bland's anti-cycling rule is switched on after a
+		// long degenerate stretch and off again by the first non-degenerate
+		// pivot, where the configured pricing resumes on fresh weights.
+		// Cycling can only happen among degenerate pivots (any other pivot
+		// strictly improves the objective), so confining Bland to the
+		// degenerate stretch keeps its termination guarantee without
+		// crawling through the rest of the pass at smallest-index pace.
 		if tBest <= 1e-10 {
 			s.stall++
 			if s.stall > 300 {
@@ -160,6 +166,10 @@ func (s *Solver) runPrimal(phase1 bool) Status {
 			}
 		} else {
 			s.stall = 0
+			if s.bland {
+				s.bland = false
+				s.resetDevexWeights()
+			}
 		}
 
 		if leave == -1 {

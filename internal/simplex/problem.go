@@ -17,9 +17,11 @@
 //     variables),
 //   - Devex pricing by default (Options.Pricing, see devex.go) with the
 //     classic Dantzig rule available as a baseline, and an automatic switch
-//     to Bland's rule after prolonged degenerate stalling, and
+//     to Bland's rule for the rest of a prolonged degenerate stall, and
 //   - a bounded-variable dual simplex used to warm-start re-solves after
-//     bound changes (branching in the MIP solver).
+//     bound changes (branching in the MIP solver), which restores dual
+//     feasibility by bound flips and cost shifting rather than by a cold
+//     restart.
 //
 // Only the Go standard library is used.
 package simplex
@@ -176,7 +178,8 @@ type Result struct {
 	X []float64
 	// Obj is cᵀx at the returned point.
 	Obj float64
-	// Iters is the total number of simplex pivots performed (both phases).
+	// Iters is the total number of simplex pivots performed (both phases,
+	// every recovery restart included).
 	Iters int
 	// Recovery, when non-nil, records the numerical recovery ladder the
 	// solve had to climb (see Recovery); nil means the first attempt
@@ -188,7 +191,9 @@ type Result struct {
 // cold-start solve fails numerically (a singular refactorization or a
 // stalled pass ending in StatusUnknown), Solve restarts from scratch with
 // progressively more conservative settings instead of reporting
-// StatusUnknown outright. Each restart appends one rung name to Rungs.
+// StatusUnknown outright. A warm ReSolveDual that fails numerically first
+// falls back to such a cold Solve (rung RungCold). Each restart appends one
+// rung name to Rungs.
 type Recovery struct {
 	// Restarts is the number of from-scratch restarts performed.
 	Restarts int
@@ -196,8 +201,19 @@ type Recovery struct {
 	Rungs []string
 }
 
+// Cold reports whether a warm re-solve fell back to a cold Solve on its
+// current bounds. Solve is deterministic, so repeating it on the same
+// bounds would repeat the same work and the same outcome. It is safe on a
+// nil Recovery.
+func (r *Recovery) Cold() bool {
+	return r != nil && len(r.Rungs) > 0 && r.Rungs[0] == RungCold
+}
+
 // Ladder rung names recorded in Recovery.Rungs.
 const (
+	// RungCold abandons a warm ReSolveDual's basis after a numerical
+	// failure and runs a cold two-phase Solve from a fresh basis.
+	RungCold = "cold"
 	// RungBland restarts the solve with Bland's anti-cycling rule forced
 	// from the first pivot.
 	RungBland = "bland"

@@ -164,3 +164,48 @@ func TestReSolveDualCanceled(t *testing.T) {
 		t.Fatalf("ReSolveDual status = %v, want canceled", res.Status)
 	}
 }
+
+// bealeLP is Beale's classic cycling example: min −¾x₄ + 150x₅ − x₆/50 + 6x₇
+// subject to two degenerate rows with right-hand side 0 and x₆ ≤ 1. Under
+// the textbook largest-coefficient rule the simplex cycles through six
+// degenerate bases forever; the optimum is −1/20 at x₄ = 1/25, x₆ = 1.
+func bealeLP() *Problem {
+	p := &Problem{}
+	x4 := p.AddVar(0, math.Inf(1), -0.75)
+	x5 := p.AddVar(0, math.Inf(1), 150)
+	x6 := p.AddVar(0, math.Inf(1), -0.02)
+	x7 := p.AddVar(0, math.Inf(1), 6)
+	p.AddRow([]int{x4, x5, x6, x7}, []float64{0.25, -60, -0.04, 9}, LE, 0)
+	p.AddRow([]int{x4, x5, x6, x7}, []float64{0.5, -90, -0.02, 3}, LE, 0)
+	p.AddRow([]int{x6}, []float64{1}, LE, 1)
+	return p
+}
+
+// TestBealeCyclingTerminates solves Beale's example under both pricing
+// rules, and again with the first attempt stalled so the solve climbs to
+// the bland rung. Bland's rule is confined to degenerate stretches, so
+// every run must end at the optimum with Bland switched off again by the
+// non-degenerate pivots that reach it.
+func TestBealeCyclingTerminates(t *testing.T) {
+	for _, pricing := range []Pricing{PricingDantzig, PricingDevex} {
+		for _, stall := range []int{0, 1} {
+			s, err := NewSolver(bealeLP(), Options{Pricing: pricing, Fault: &stubFault{stallFirst: stall}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := s.Solve()
+			if res.Status != StatusOptimal || !approx(res.Obj, -0.05, 1e-9) {
+				t.Fatalf("%v stall=%d: status=%v obj=%v, want optimal -0.05", pricing, stall, res.Status, res.Obj)
+			}
+			if !approx(res.X[0], 0.04, 1e-9) || !approx(res.X[2], 1, 1e-9) {
+				t.Errorf("%v stall=%d: x = %v, want x4=1/25, x6=1", pricing, stall, res.X)
+			}
+			if stall > 0 && (res.Recovery == nil || len(res.Recovery.Rungs) != 1 || res.Recovery.Rungs[0] != RungBland) {
+				t.Errorf("%v: Recovery = %+v, want the bland rung", pricing, res.Recovery)
+			}
+			if s.bland {
+				t.Errorf("%v stall=%d: Bland still on after the solve's last non-degenerate pivot", pricing, stall)
+			}
+		}
+	}
+}

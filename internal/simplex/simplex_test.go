@@ -145,17 +145,7 @@ func TestNoRows(t *testing.T) {
 
 func TestDegenerate(t *testing.T) {
 	// A classic degenerate LP; must terminate and find obj.
-	// min -0.75x4 + 150x5 - 0.02x6 + 6x7 (Beale's cycling example shape)
-	p := &Problem{}
-	inf := math.Inf(1)
-	x4 := p.AddVar(0, inf, -0.75)
-	x5 := p.AddVar(0, inf, 150)
-	x6 := p.AddVar(0, inf, -0.02)
-	x7 := p.AddVar(0, inf, 6)
-	p.AddRow([]int{x4, x5, x6, x7}, []float64{0.25, -60, -0.04, 9}, LE, 0)
-	p.AddRow([]int{x4, x5, x6, x7}, []float64{0.5, -90, -0.02, 3}, LE, 0)
-	p.AddRow([]int{x6}, []float64{1}, LE, 1)
-	res := solveOrFatal(t, p)
+	res := solveOrFatal(t, bealeLP())
 	if !approx(res.Obj, -0.05, 1e-8) {
 		t.Errorf("obj = %g, want -0.05", res.Obj)
 	}

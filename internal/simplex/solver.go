@@ -171,6 +171,12 @@ func (s *Solver) initialStatus(j int) int8 {
 //
 // It returns the number of artificial columns added.
 func (s *Solver) initBasis() int {
+	// Drop the artificials of earlier solves: they are frozen at zero and
+	// would otherwise pile up across every cold restart.
+	k := s.n + s.m
+	s.ncols = k
+	s.cols, s.cost, s.lb, s.ub = s.cols[:k], s.cost[:k], s.lb[:k], s.ub[:k]
+	s.vstat, s.basisRow = s.vstat[:k], s.basisRow[:k]
 	// Place structurals (and provisionally slacks) nonbasic.
 	for j := 0; j < s.ncols; j++ {
 		s.vstat[j] = s.initialStatus(j)
@@ -409,10 +415,13 @@ func (s *Solver) Solve() *Result {
 		return res
 	}
 	rec := &Recovery{}
+	iters := res.Iters
 	restart := func(rung string) *Result {
 		rec.Restarts++
 		rec.Rungs = append(rec.Rungs, rung)
-		return s.solveAttempt()
+		r := s.solveAttempt()
+		iters += r.Iters
+		return r
 	}
 	s.forceBland = true
 	res = restart(RungBland)
@@ -426,6 +435,7 @@ func (s *Solver) Solve() *Result {
 	}
 	s.forceBland = false
 	res.Recovery = rec
+	res.Iters = iters
 	return res
 }
 
@@ -442,6 +452,13 @@ func (s *Solver) solveAttempt() *Result {
 			s.pcost[j] = 1
 		}
 		res := s.runPrimal(true)
+		// Freeze artificials at zero whatever phase 1 returned, so they
+		// can never re-enter. One still basic at a positive value is then
+		// primal infeasible, and a later ReSolveDual pivots it out or
+		// proves the row infeasible instead of relaxing the row by it.
+		for j := s.n + s.m; j < s.ncols; j++ {
+			s.lb[j], s.ub[j] = 0, 0
+		}
 		if res != StatusOptimal {
 			if res == StatusIterLimit || res == StatusCanceled {
 				return &Result{Status: res, Iters: s.iters}
@@ -452,10 +469,6 @@ func (s *Solver) solveAttempt() *Result {
 		}
 		if s.objective() > 1e-6 {
 			return &Result{Status: StatusInfeasible, Iters: s.iters}
-		}
-		// Freeze artificials at zero so they can never re-enter.
-		for j := s.n + s.m; j < s.ncols; j++ {
-			s.lb[j], s.ub[j] = 0, 0
 		}
 	} else {
 		s.pcost = nil
